@@ -19,7 +19,9 @@ paper-scale inputs is charged through ``ctx.compute``.
 
 from __future__ import annotations
 
-from typing import Dict, List
+import zlib
+from functools import lru_cache
+from typing import Dict, List, Tuple
 
 from ..core.builder import DataItem, FunctionDataSpec
 from ..core.definition import WorkflowDefinition
@@ -63,6 +65,36 @@ def _synthetic_variants(chunk_id: int, lines: int) -> List[Dict[str, object]]:
     return variants
 
 
+# The handlers' reductions over the synthetic variants are pure functions of
+# the chunk id and line count, which every invocation of a cell repeats, so
+# they are memoized per process.  The cached values are plain ints and floats.
+@lru_cache(maxsize=1024)
+def _variant_counts(chunk_id: int, lines: int) -> Tuple[int, int]:
+    """``(variant_count, rare_variant_count)`` of one chunk."""
+    variants = _synthetic_variants(chunk_id, lines)
+    return len(variants), sum(1 for v in variants if v["af"] < 0.05)
+
+
+@lru_cache(maxsize=1024)
+def _overlap_count(sample_id: int) -> int:
+    """Number of overlapping mutations in a population's variant sample."""
+    variants = _synthetic_variants(sample_id, 150)
+    return sum(1 for v in variants if v["ref"] != v["alt"] and v["af"] > 0.1)
+
+
+@lru_cache(maxsize=1024)
+def _mean_frequency(sample_id: int) -> float:
+    """Mean allele frequency of a population's variant sample."""
+    variants = _synthetic_variants(sample_id, 150)
+    return sum(v["af"] for v in variants) / max(1, len(variants))
+
+
+def _population_seed(population: str) -> int:
+    """A stable integer per population name (``hash()`` of a str varies per
+    process with ``PYTHONHASHSEED``)."""
+    return zlib.crc32(population.encode("utf-8"))
+
+
 # --------------------------------------------------------------------- handlers
 def individuals_handler(ctx: InvocationContext, chunk: Dict[str, object]) -> Dict[str, object]:
     """Parse one chunk of the variant file and upload the per-individual data."""
@@ -72,8 +104,7 @@ def individuals_handler(ctx: InvocationContext, chunk: Dict[str, object]) -> Dic
 
     if ctx.object_exists(input_key):
         ctx.download(input_key)
-    variants = _synthetic_variants(chunk_id, min(lines, 200))
-    rare = [v for v in variants if v["af"] < 0.05]
+    variant_count, rare_count = _variant_counts(chunk_id, min(lines, 200))
     ctx.compute(_INDIVIDUALS_WORK_PER_LINE * lines)
 
     result_key = f"genome/individuals-{ctx.invocation_id}-{chunk_id}"
@@ -82,8 +113,8 @@ def individuals_handler(ctx: InvocationContext, chunk: Dict[str, object]) -> Dic
         "chunk_id": chunk_id,
         "lines": lines,
         "result_key": result_key,
-        "variant_count": len(variants),
-        "rare_variant_count": len(rare),
+        "variant_count": variant_count,
+        "rare_variant_count": rare_count,
     }
 
 
@@ -129,8 +160,7 @@ def mutation_overlap_handler(ctx: InvocationContext, item: Dict[str, object]) ->
     for key in (merged_key, sifted_key):
         if key and ctx.object_exists(key):
             ctx.download(key)
-    variants = _synthetic_variants(hash(population) % 97, 150)
-    overlapping = sum(1 for v in variants if v["ref"] != v["alt"] and v["af"] > 0.1)
+    overlapping = _overlap_count(_population_seed(population) % 97)
     ctx.compute(_OVERLAP_WORK_PER_POPULATION)
     result_key = f"genome/overlap-{ctx.invocation_id}-{population}"
     ctx.upload(result_key, 80_000)
@@ -144,8 +174,7 @@ def frequency_handler(ctx: InvocationContext, item: Dict[str, object]) -> Dict[s
     merged_key = str(item.get("merged_key", f"genome/merged-{ctx.invocation_id}"))
     if merged_key and ctx.object_exists(merged_key):
         ctx.download(merged_key)
-    variants = _synthetic_variants(hash(population) % 89, 150)
-    frequency = sum(v["af"] for v in variants) / max(1, len(variants))
+    frequency = _mean_frequency(_population_seed(population) % 89)
     ctx.compute(_FREQUENCY_WORK_PER_POPULATION)
     result_key = f"genome/frequency-{ctx.invocation_id}-{population}"
     ctx.upload(result_key, 80_000)

@@ -18,7 +18,9 @@ is charged through ``ctx.compute``.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from collections import Counter
+from functools import lru_cache
+from typing import Dict, List, Tuple
 
 from ..core.builder import DataItem, FunctionDataSpec
 from ..core.definition import WorkflowDefinition
@@ -33,15 +35,24 @@ WORDS = ("serverless", "workflow", "benchmark", "cloud", "function")
 _WORK_PER_WORD = 6e-5
 
 
-def _make_corpus(total_words: int, num_chunks: int, seed: int) -> List[List[str]]:
-    """Deterministically generate the corpus already partitioned into chunks."""
+@lru_cache(maxsize=128)
+def _make_corpus(
+    total_words: int, num_chunks: int, seed: int
+) -> Tuple[Tuple[Tuple[str, ...], ...], Tuple[int, ...]]:
+    """Deterministically generate the corpus already partitioned into chunks.
+
+    Returns the chunks and each chunk's upload size in bytes.  A pure
+    function of its arguments, memoized per process: the values are
+    immutable tuples, so a handler that hands a chunk on copies it first.
+    """
     words: List[str] = []
     state = seed * 2654435761 % (2**32) or 1
     for _ in range(total_words):
         state = (1103515245 * state + 12345) % (2**31)
         words.append(WORDS[state % len(WORDS)])
     chunk_size = max(1, (len(words) + num_chunks - 1) // num_chunks)
-    return [words[i : i + chunk_size] for i in range(0, len(words), chunk_size)]
+    chunks = tuple(tuple(words[i : i + chunk_size]) for i in range(0, len(words), chunk_size))
+    return chunks, tuple(sum(len(w) + 1 for w in chunk) for chunk in chunks)
 
 
 # --------------------------------------------------------------------- handlers
@@ -54,13 +65,13 @@ def split_handler(ctx: InvocationContext, payload: Dict[str, object]) -> Dict[st
 
     if ctx.object_exists(corpus_key):
         ctx.download(corpus_key)
-    chunks = _make_corpus(total_words, num_mappers, seed)
+    chunks, chunk_bytes = _make_corpus(total_words, num_mappers, seed)
     ctx.compute(_WORK_PER_WORD * total_words)
-    for index, chunk in enumerate(chunks):
-        ctx.upload(f"mapreduce/chunk-{ctx.invocation_id}-{index}", sum(len(w) + 1 for w in chunk))
+    for index, size in enumerate(chunk_bytes):
+        ctx.upload(f"mapreduce/chunk-{ctx.invocation_id}-{index}", size)
     return {
         "chunks": [
-            {"chunk_id": index, "words": chunk, "invocation": ctx.invocation_id}
+            {"chunk_id": index, "words": list(chunk), "invocation": ctx.invocation_id}
             for index, chunk in enumerate(chunks)
         ]
     }
@@ -68,10 +79,9 @@ def split_handler(ctx: InvocationContext, payload: Dict[str, object]) -> Dict[st
 
 def map_handler(ctx: InvocationContext, chunk: Dict[str, object]) -> Dict[str, object]:
     """Count word occurrences in one chunk."""
-    words = list(chunk.get("words", []))
-    counts: Dict[str, int] = {}
-    for word in words:
-        counts[word] = counts.get(word, 0) + 1
+    words = chunk.get("words", [])
+    # Counter keeps first-seen key order, which the counts payload must keep.
+    counts: Dict[str, int] = dict(Counter(words))
     ctx.compute(_WORK_PER_WORD * 3 * max(1, len(words)))
     return {"chunk_id": chunk.get("chunk_id", 0), "counts": counts}
 

@@ -15,6 +15,7 @@ charged through ``ctx.compute``.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -125,6 +126,29 @@ def _tree_predict(node: Dict[str, object], x: np.ndarray) -> float:
     return float(node["leaf"])
 
 
+@lru_cache(maxsize=1024)
+def _accuracy(kind: str, seed: int) -> float:
+    """Training accuracy of one classifier (``svm``, else a forest) on the
+    dataset of ``seed``.
+
+    Building the dataset and training are the handler's whole real work and a
+    pure function of ``(kind, seed)``, which burst invocations repeat, so the
+    result is memoized per process.
+    """
+    features, labels = _make_dataset(seed)
+    if kind == "svm":
+        weights = _train_svm(features, labels)
+        predictions = np.sign(features @ weights)
+    else:
+        forest = _train_forest(features, labels, seed=seed)
+        votes = np.array(
+            [sum(_tree_predict(tree, row) for tree in forest) for row in features]
+        )
+        predictions = np.sign(votes)
+    predictions[predictions == 0] = 1.0
+    return float((predictions == labels).mean())
+
+
 def train_handler(ctx: InvocationContext, task: Dict[str, object]) -> Dict[str, object]:
     """Train one classifier on the generated dataset and report its accuracy."""
     kind = str(task.get("kind", "svm"))
@@ -135,23 +159,12 @@ def train_handler(ctx: InvocationContext, task: Dict[str, object]) -> Dict[str, 
 
     if dataset_key and ctx.object_exists(dataset_key):
         ctx.download(dataset_key)
-    features, labels = _make_dataset(seed)
+    accuracy = _accuracy(kind, seed)
 
     if kind == "svm":
-        weights = _train_svm(features, labels)
-        predictions = np.sign(features @ weights)
-        predictions[predictions == 0] = 1.0
-        accuracy = float((predictions == labels).mean())
         ctx.compute(_SVM_WORK_PER_CELL * samples * features_count)
         model_size = features_count * 8
     else:
-        forest = _train_forest(features, labels, seed=seed)
-        votes = np.array(
-            [sum(_tree_predict(tree, row) for tree in forest) for row in features]
-        )
-        predictions = np.sign(votes)
-        predictions[predictions == 0] = 1.0
-        accuracy = float((predictions == labels).mean())
         ctx.compute(_FOREST_WORK_PER_CELL * samples * features_count)
         model_size = 50_000
 

@@ -15,7 +15,9 @@ microbenchmark sweeps (Figures 9/10) and the 1000Genome strong-scaling variant
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Tuple
+import inspect
+from functools import lru_cache
+from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from ..faas.benchmark import WorkflowBenchmark
 from . import excamera, genome, mapreduce, ml, trip_booking, video_analysis
@@ -52,6 +54,12 @@ def _genome_individuals(individuals_jobs: int = 10, **params: object) -> Workflo
 #: sweep, so deliberately kept out of APPLICATION_BENCHMARKS).
 VARIANT_BENCHMARKS: Dict[str, BenchmarkFactory] = {
     "genome_individuals": _genome_individuals,
+}
+
+#: Factories that forward ``**params`` to an inner factory, which the
+#: parameter names are validated against.
+_FORWARDS_PARAMS_TO: Dict[BenchmarkFactory, BenchmarkFactory] = {
+    _genome_individuals: genome.create_individuals_scaling_benchmark,
 }
 
 ALL_BENCHMARKS: Dict[str, BenchmarkFactory] = {
@@ -94,12 +102,37 @@ def _coerce_param(value: str) -> object:
         return value
 
 
+@lru_cache(maxsize=None)
+def _factory_params(factory: BenchmarkFactory) -> Optional[FrozenSet[str]]:
+    """Keyword parameter names ``factory`` accepts (None: any name)."""
+    signature = inspect.signature(_FORWARDS_PARAMS_TO.get(factory, factory))
+    params = signature.parameters.values()
+    if any(param.kind is param.VAR_KEYWORD for param in params):
+        return None
+    return frozenset(param.name for param in params
+                     if param.kind in (param.POSITIONAL_OR_KEYWORD, param.KEYWORD_ONLY))
+
+
+def _check_params(name: str, params: Dict[str, object]) -> None:
+    """Reject parameter names the benchmark's factory does not take."""
+    valid = _factory_params(ALL_BENCHMARKS[name])
+    if valid is None:
+        return
+    unknown = sorted(set(params) - valid)
+    if unknown:
+        raise ValueError(
+            f"unknown parameter(s) {', '.join(map(repr, unknown))} for benchmark "
+            f"{name!r}; valid parameters: {sorted(valid)}"
+        )
+
+
 def parse_benchmark_spec(text: str) -> Tuple[str, Dict[str, object]]:
     """Split a benchmark spec string into ``(name, factory_params)``.
 
     Accepts ``"mapreduce"`` or ``"storage_io:num_functions=20,memory_mb=512"``.
-    The name is validated against the registry; parameter names are validated
-    by the factory itself at construction time.
+    The name is validated against the registry (``KeyError``) and the
+    parameter names against the factory's signature (``ValueError``), so a
+    misspelt spec fails here rather than when a worker builds the benchmark.
     """
     text = text.strip()
     name, _, rest = text.partition(":")
@@ -113,6 +146,7 @@ def parse_benchmark_spec(text: str) -> Tuple[str, Dict[str, object]]:
             if not sep or not key.strip():
                 raise ValueError(f"malformed benchmark parameter {assignment!r}")
             params[key.strip()] = _coerce_param(value.strip())
+    _check_params(name, params)
     return name, params
 
 
@@ -141,4 +175,5 @@ def get_benchmark(name: str, **params: object) -> WorkflowBenchmark:
     """
     base, parsed = parse_benchmark_spec(name)
     merged = {**parsed, **params}
+    _check_params(base, params)
     return ALL_BENCHMARKS[base](**merged)

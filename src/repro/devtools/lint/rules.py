@@ -4,7 +4,8 @@
 id   name                    enforces
 ==== ======================= =====================================================
 R001 determinism             every random draw / clock read goes through a
-                             sanctioned seam (named RNG streams, injectable clock)
+                             sanctioned seam (named RNG streams, injectable clock);
+                             no builtin ``hash()`` outside ``__hash__``
 R002 fingerprint-drift       fingerprinted field sets match the checked-in
                              manifest; changes require a ``CACHE_VERSION`` bump
 R003 frozen-spec             ``*Spec`` dataclasses are ``frozen=True`` with no
@@ -108,7 +109,7 @@ class DeterminismRule(Rule):
     description = (
         "no module-level RNG (random.*, np.random.*), wall clocks "
         "(time.time, datetime.now), or random tokens (os.urandom, uuid.uuid4) "
-        "outside sanctioned seams"
+        "outside sanctioned seams, and no builtin hash() outside __hash__"
     )
 
     #: Exact dotted call paths that read wall clocks or entropy.
@@ -140,6 +141,10 @@ class DeterminismRule(Rule):
             "derive identifiers from seeded streams or cell fingerprints; "
             "if true uniqueness is required, isolate one seam and pragma it"
         ),
+        "hash": (
+            "str/bytes hashes change per process with PYTHONHASHSEED; derive a "
+            "stable integer (zlib.crc32, a hashlib digest, a table index)"
+        ),
     }
 
     def __init__(self, allowed_paths: Sequence[str] = ("sim/rng.py", "devtools/", "cli.py")):
@@ -149,8 +154,23 @@ class DeterminismRule(Rule):
         if path_matches(module.rel_path, self.allowed_paths):
             return
         aliases = _import_aliases(module.tree)
+        # hash() is how __hash__ is meant to be written; anywhere else its
+        # value can depend on the process's hash seed.
+        in_dunder_hash = {
+            id(inner)
+            for node in ast.walk(module.tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name == "__hash__"
+            for inner in ast.walk(node)
+        }
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):
+                continue
+            if (isinstance(node.func, ast.Name) and node.func.id == "hash"
+                    and "hash" not in aliases):
+                if id(node) not in in_dunder_hash:
+                    yield self.finding(module, node, "builtin hash() outside __hash__",
+                                       hint=self.HINTS["hash"])
                 continue
             path = _resolve_call_path(node.func, aliases)
             if path is None:

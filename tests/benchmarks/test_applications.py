@@ -56,6 +56,36 @@ class TestRegistry:
         with pytest.raises(KeyError):
             parse_benchmark_spec("nope:num_functions=4")
 
+    def test_unknown_parameter_names_rejected_at_parse_time(self):
+        from repro.benchmarks import parse_benchmark_spec
+
+        with pytest.raises(ValueError) as excinfo:
+            parse_benchmark_spec("storage_io:downloadbytes=5")
+        message = str(excinfo.value)
+        assert "'downloadbytes'" in message and "storage_io" in message
+        assert "['download_bytes', 'memory_mb', 'num_functions']" in message
+        with pytest.raises(ValueError, match="'bogus'"):
+            get_benchmark("ml", bogus=1)
+
+    def test_forwarding_factory_validated_against_inner_factory(self):
+        from repro.benchmarks import parse_benchmark_spec
+
+        assert parse_benchmark_spec("genome_individuals:individuals_jobs=4,lines=100") == (
+            "genome_individuals", {"individuals_jobs": 4, "lines": 100})
+        with pytest.raises(ValueError) as excinfo:
+            parse_benchmark_spec("genome_individuals:line=100")
+        assert "['individuals_jobs', 'lines', 'memory_mb']" in str(excinfo.value)
+
+    def test_factory_taking_any_keyword_is_not_restricted(self, monkeypatch):
+        from repro.benchmarks import parse_benchmark_spec, registry
+
+        def open_factory(**params):
+            return registry.ALL_BENCHMARKS["function_chain"]()
+
+        monkeypatch.setitem(registry.ALL_BENCHMARKS, "open_factory", open_factory)
+        assert parse_benchmark_spec("open_factory:anything=1") == (
+            "open_factory", {"anything": 1})
+
     def test_unknown_benchmark_rejected(self):
         with pytest.raises(KeyError):
             get_benchmark("does-not-exist")

@@ -204,7 +204,18 @@ class TestCli:
     def test_unknown_cell_is_a_usage_error(self, capsys):
         assert bench_cli.main(["--cells", "engine.typo"]) == bench_cli.EXIT_USAGE
 
-    def test_run_writes_document_and_compares_clean(self, tmp_path, capsys):
+    def test_run_writes_document_and_compares_clean(self, tmp_path, capsys, monkeypatch):
+        # The cell is timed once; the --compare run replays those outcomes,
+        # so the two documents hold the same measurement by construction.
+        recorded = {}
+        run_bench = bench_cli.run_bench
+
+        def replay_run_bench(*args, **kwargs):
+            if not recorded:
+                recorded.update(run_bench(*args, **kwargs))
+            return dict(recorded)
+
+        monkeypatch.setattr(bench_cli, "run_bench", replay_run_bench)
         output = tmp_path / "BENCH_0.json"
         code = bench_cli.main([
             "--quick", "--cells", "engine.process_chain", "--repetitions", "1",
@@ -213,7 +224,7 @@ class TestCli:
         assert code == 0
         document = load_document(output)
         assert "engine.process_chain" in document["results"]
-        # Comparing against itself can never regress.
+        # Comparing a measurement against itself can never regress.
         code = bench_cli.main([
             "--quick", "--cells", "engine.process_chain", "--repetitions", "1",
             "--compare", str(output),

@@ -42,6 +42,20 @@ class TestR001Determinism:
     def test_clean_on_sanctioned_and_lookalike_code(self):
         assert lint_fixture("r001_good.py", DeterminismRule()) == []
 
+    def test_flags_builtin_hash_outside_dunder_hash(self):
+        findings = lint_fixture("r001_hash_bad.py", DeterminismRule())
+        assert [(f.line, f.message) for f in findings] == [
+            (3, "builtin hash() outside __hash__"),
+            (7, "builtin hash() outside __hash__"),
+            (12, "builtin hash() outside __hash__"),
+            (15, "builtin hash() outside __hash__"),
+            (15, "builtin hash() outside __hash__"),
+        ]
+        assert all("zlib.crc32" in f.hint for f in findings)
+
+    def test_hash_inside_dunder_hash_and_stable_digests_are_clean(self):
+        assert lint_fixture("r001_hash_good.py", DeterminismRule()) == []
+
     def test_allowlisted_paths_are_skipped_entirely(self, tmp_path):
         nested = tmp_path / "sim"
         nested.mkdir()

@@ -150,6 +150,18 @@ class TestCommands:
         assert main(["campaign", "--benchmarks", "nope"]) == 2
         assert "error: unknown benchmarks: nope" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "storage_io:downloadbytes=5", "--burst-size", "2"],
+        ["campaign", "--benchmarks", "storage_io:downloadbytes=5", "--platforms", "aws",
+         "--seeds", "1", "--burst-size", "2", "--workers", "1"],
+    ])
+    def test_misspelt_benchmark_parameter_fails_in_one_line(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: unknown parameter(s) 'downloadbytes'")
+        assert "download_bytes" in captured.err and "Traceback" not in captured.err
+
     def test_campaign_without_benchmarks_or_resume_fails(self, capsys):
         assert main(["campaign"]) == 2
         assert "--benchmarks is required" in capsys.readouterr().err
@@ -621,10 +633,10 @@ class TestFiguresCli:
         try:
             artifacts.register_artifact(artifacts.ArtifactSpec(
                 name="doomed", title="doomed", kind="figure",
-                # Valid base name, bogus factory parameter: planning accepts
-                # it, execution fails every attempt.
+                # Valid name and parameter, value the factory rejects:
+                # planning accepts it, execution fails every attempt.
                 cells=lambda config: (artifacts.CellRequest(
-                    benchmark="storage_io:bogus_param=1", platform="aws",
+                    benchmark="excamera:total_frames=7", platform="aws",
                     workload=artifacts.WorkloadSpec.burst(2), seed=0,
                 ),),
                 build=lambda campaign, config: [],
@@ -640,6 +652,32 @@ class TestFiguresCli:
         captured = capsys.readouterr()
         assert "1 campaign cell(s) failed permanently" in captured.err
         assert "pending" in captured.out
+
+    def test_figures_rejects_unknown_benchmark_parameter_when_planning(self, tmp_path, capsys):
+        from repro.analysis import artifacts
+
+        artifacts._ensure_builders()
+        snapshot = dict(artifacts._ARTIFACTS)
+        try:
+            artifacts.register_artifact(artifacts.ArtifactSpec(
+                name="misspelt", title="misspelt", kind="figure",
+                cells=lambda config: (artifacts.CellRequest(
+                    benchmark="storage_io:bogus_param=1", platform="aws",
+                    workload=artifacts.WorkloadSpec.burst(2), seed=0,
+                ),),
+                build=lambda campaign, config: [],
+            ))
+            code = main([
+                "figures", "--artifacts", "misspelt", "--no-cache",
+                "--run-dir", str(tmp_path / "run"),
+            ])
+        finally:
+            artifacts._ARTIFACTS.clear()
+            artifacts._ARTIFACTS.update(snapshot)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown parameter(s) 'bogus_param'")
+        assert not (tmp_path / "run").exists()
 
     def test_report_renders_every_artifact(self, tmp_path, capsys):
         code = main([
