@@ -26,6 +26,7 @@ from repro.faas import (
     plan_shards,
     run_campaign,
     run_grid_worker,
+    WorkloadSpec,
 )
 
 # 1. Declare the sweep: 2 benchmarks x 2 platforms x 2 seeds = 8 cells.
@@ -33,7 +34,7 @@ spec = CampaignSpec(
     benchmarks=("function_chain", "mapreduce"),
     platforms=("aws", "azure"),
     seeds=(0, 1),
-    burst_size=3,
+    workloads=(WorkloadSpec.burst(3),),
 )
 
 # 2. The shard planner partitions cells by fingerprint: deterministic on

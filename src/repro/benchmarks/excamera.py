@@ -22,7 +22,7 @@ from typing import Dict, List
 from ..core.builder import DataItem, FunctionDataSpec
 from ..core.definition import WorkflowDefinition
 from ..core.wfdnet import ResourceAnnotation
-from ..faas.benchmark import WorkflowBenchmark
+from ..faas.benchmark import WorkflowBenchmark, require_at_least
 from ..sim.invocation import FunctionSpec, InvocationContext
 
 #: Raw size of one chunk of the source video in object storage.
@@ -159,6 +159,8 @@ def create_benchmark(
     memory_mb: int = 256,
 ) -> WorkflowBenchmark:
     """The ExCamera benchmark with the paper's default parameters."""
+    require_at_least(1, total_frames=total_frames, chunk_frames=chunk_frames,
+                     memory_mb=memory_mb)
     if total_frames % chunk_frames != 0:
         raise ValueError("total_frames must be a multiple of chunk_frames")
     num_chunks = total_frames // chunk_frames

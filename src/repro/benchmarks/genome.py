@@ -26,7 +26,7 @@ from typing import Dict, List, Tuple
 from ..core.builder import DataItem, FunctionDataSpec
 from ..core.definition import WorkflowDefinition
 from ..core.wfdnet import ResourceAnnotation
-from ..faas.benchmark import WorkflowBenchmark
+from ..faas.benchmark import WorkflowBenchmark, require_at_least
 from ..sim.invocation import FunctionSpec, InvocationContext
 
 #: The super-populations of the 1000 Genomes project used by the paper (P = 6).
@@ -268,6 +268,7 @@ def create_benchmark(
     memory_mb: int = 2048,
 ) -> WorkflowBenchmark:
     """The 1000Genome benchmark (paper defaults: M=1250 lines, N=5 jobs, P=6 populations)."""
+    require_at_least(1, lines=lines, individuals_jobs=individuals_jobs, memory_mb=memory_mb)
     if populations < 1 or populations > len(POPULATIONS):
         raise ValueError(f"populations must be between 1 and {len(POPULATIONS)}")
     definition = build_definition()
@@ -336,6 +337,7 @@ def create_individuals_scaling_benchmark(
     workflow with growing job counts while keeping the input size fixed, so
     each job processes a smaller chunk.
     """
+    require_at_least(1, individuals_jobs=individuals_jobs, lines=lines, memory_mb=memory_mb)
     definition = WorkflowDefinition.from_dict(
         {
             "root": "individuals_phase",

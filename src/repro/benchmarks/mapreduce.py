@@ -25,7 +25,7 @@ from typing import Dict, List, Tuple
 from ..core.builder import DataItem, FunctionDataSpec
 from ..core.definition import WorkflowDefinition
 from ..core.wfdnet import ResourceAnnotation
-from ..faas.benchmark import WorkflowBenchmark
+from ..faas.benchmark import WorkflowBenchmark, require_at_least
 from ..sim.invocation import FunctionSpec, InvocationContext
 
 #: The distinct words of the synthetic corpus (the paper uses M = 5).
@@ -140,6 +140,8 @@ def create_benchmark(
     memory_mb: int = 256,
 ) -> WorkflowBenchmark:
     """The MapReduce benchmark with the paper's default parameters."""
+    require_at_least(1, num_mappers=num_mappers, total_words=total_words,
+                     memory_mb=memory_mb)
     definition = build_definition()
     functions = {
         "split": FunctionSpec("split", split_handler, cold_init_s=0.15),

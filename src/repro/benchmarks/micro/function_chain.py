@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Dict
 
 from ...core.definition import WorkflowDefinition
-from ...faas.benchmark import WorkflowBenchmark
+from ...faas.benchmark import WorkflowBenchmark, require_at_least
 from ...sim.invocation import FunctionSpec, InvocationContext
 
 #: Tiny fixed compute cost of producing the payload (string generation).
@@ -50,6 +50,8 @@ def create_benchmark(
     memory_mb: int = 256,
 ) -> WorkflowBenchmark:
     """Chain of ``length`` functions returning ``payload_bytes`` each."""
+    require_at_least(1, length=length, memory_mb=memory_mb)
+    require_at_least(0, payload_bytes=payload_bytes)
     definition = build_definition(length)
     functions = {
         "chain_step": FunctionSpec("chain_step", chain_step_handler, cold_init_s=0.1),

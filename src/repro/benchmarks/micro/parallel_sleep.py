@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Dict
 
 from ...core.definition import WorkflowDefinition
-from ...faas.benchmark import WorkflowBenchmark
+from ...faas.benchmark import WorkflowBenchmark, require_at_least
 from ...sim.invocation import FunctionSpec, InvocationContext
 
 
@@ -48,6 +48,8 @@ def create_benchmark(
     memory_mb: int = 256,
 ) -> WorkflowBenchmark:
     """``num_functions`` parallel sleepers of ``sleep_seconds`` each."""
+    require_at_least(1, num_functions=num_functions, memory_mb=memory_mb)
+    require_at_least(0, sleep_seconds=sleep_seconds)
     definition = build_definition()
     functions = {
         "sleeper": FunctionSpec("sleeper", sleep_handler, cold_init_s=0.05),

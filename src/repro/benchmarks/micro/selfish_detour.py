@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Dict
 
 from ...core.definition import WorkflowDefinition
-from ...faas.benchmark import WorkflowBenchmark
+from ...faas.benchmark import WorkflowBenchmark, require_at_least
 from ...sim.invocation import FunctionSpec, InvocationContext
 
 
@@ -39,6 +39,7 @@ def build_definition() -> WorkflowDefinition:
 
 def create_benchmark(events: int = 5000, memory_mb: int = 256) -> WorkflowBenchmark:
     """Single-function selfish-detour probe collecting ``events`` detour events."""
+    require_at_least(1, events=events, memory_mb=memory_mb)
     definition = build_definition()
     functions = {
         "detour": FunctionSpec("detour", detour_handler, cold_init_s=0.05),

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 from ...core.definition import WorkflowDefinition
-from ...faas.benchmark import WorkflowBenchmark
+from ...faas.benchmark import WorkflowBenchmark, require_at_least
 from ...sim.invocation import FunctionSpec, InvocationContext
 
 _OBJECT_KEY = "micro/storage-io-object"
@@ -51,6 +51,8 @@ def create_benchmark(
     memory_mb: int = 512,
 ) -> WorkflowBenchmark:
     """Parallel download of a ``download_bytes`` object by ``num_functions`` workers."""
+    require_at_least(1, num_functions=num_functions, memory_mb=memory_mb)
+    require_at_least(0, download_bytes=download_bytes)
     definition = build_definition()
     functions = {
         "download": FunctionSpec("download", download_handler, cold_init_s=0.1),

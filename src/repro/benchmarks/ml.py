@@ -23,7 +23,7 @@ import numpy as np
 from ..core.builder import DataItem, FunctionDataSpec
 from ..core.definition import WorkflowDefinition
 from ..core.wfdnet import ResourceAnnotation
-from ..faas.benchmark import WorkflowBenchmark
+from ..faas.benchmark import WorkflowBenchmark, require_at_least
 from ..sim.invocation import FunctionSpec, InvocationContext
 from ..sim.rng import named_stream
 
@@ -197,6 +197,7 @@ def create_benchmark(
     memory_mb: int = 1024,
 ) -> WorkflowBenchmark:
     """The Machine Learning training-pipeline benchmark."""
+    require_at_least(1, samples=samples, features=features, memory_mb=memory_mb)
     definition = build_definition()
     dataset_size = _dataset_bytes(samples, features)
     functions = {

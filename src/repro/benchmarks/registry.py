@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import inspect
 from functools import lru_cache
-from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..faas.benchmark import WorkflowBenchmark
 from . import excamera, genome, mapreduce, ml, trip_booking, video_analysis
@@ -103,36 +103,66 @@ def _coerce_param(value: str) -> object:
 
 
 @lru_cache(maxsize=None)
-def _factory_params(factory: BenchmarkFactory) -> Optional[FrozenSet[str]]:
-    """Keyword parameter names ``factory`` accepts (None: any name)."""
-    signature = inspect.signature(_FORWARDS_PARAMS_TO.get(factory, factory))
-    params = signature.parameters.values()
-    if any(param.kind is param.VAR_KEYWORD for param in params):
+def _factory_params(factory: BenchmarkFactory) -> Optional[Dict[str, object]]:
+    """Keyword parameters ``factory`` accepts, mapped to their defaults
+    (``inspect.Parameter.empty`` where there is none); None: any name."""
+    params = inspect.signature(_FORWARDS_PARAMS_TO.get(factory, factory)).parameters
+    if any(param.kind is param.VAR_KEYWORD for param in params.values()):
         return None
-    return frozenset(param.name for param in params
-                     if param.kind in (param.POSITIONAL_OR_KEYWORD, param.KEYWORD_ONLY))
+    # A forwarding factory may supply the default its inner factory lacks.
+    outer = inspect.signature(factory).parameters
+    return {
+        name: outer[name].default if param.default is param.empty and name in outer
+        else param.default
+        for name, param in params.items()
+        if param.kind in (param.POSITIONAL_OR_KEYWORD, param.KEYWORD_ONLY)
+    }
+
+
+#: Parameter types checked at parse time, keyed by the factory default's type.
+_EXPECTED_TYPES = {bool: "bool (0 or 1)", int: "int", float: "float"}
+
+
+def _fits(default: object, value: object) -> bool:
+    """Whether ``value`` fits the type of the factory default ``default``."""
+    if isinstance(default, bool):
+        return isinstance(value, int) and value in (0, 1)
+    if isinstance(value, bool):
+        return False
+    if isinstance(default, int):
+        return isinstance(value, int)
+    return isinstance(value, (int, float))
 
 
 def _check_params(name: str, params: Dict[str, object]) -> None:
-    """Reject parameter names the benchmark's factory does not take."""
-    valid = _factory_params(ALL_BENCHMARKS[name])
-    if valid is None:
+    """Reject parameter names the benchmark's factory does not take, and
+    values whose type does not fit the factory default."""
+    defaults = _factory_params(ALL_BENCHMARKS[name])
+    if defaults is None:
         return
-    unknown = sorted(set(params) - valid)
+    unknown = sorted(set(params) - set(defaults))
     if unknown:
         raise ValueError(
             f"unknown parameter(s) {', '.join(map(repr, unknown))} for benchmark "
-            f"{name!r}; valid parameters: {sorted(valid)}"
+            f"{name!r}; valid parameters: {sorted(defaults)}"
         )
+    for key, value in params.items():
+        default = defaults[key]
+        if type(default) in _EXPECTED_TYPES and not _fits(default, value):
+            raise ValueError(
+                f"parameter {key!r} of benchmark {name!r} expects "
+                f"{_EXPECTED_TYPES[type(default)]}, got {value!r}"
+            )
 
 
 def parse_benchmark_spec(text: str) -> Tuple[str, Dict[str, object]]:
     """Split a benchmark spec string into ``(name, factory_params)``.
 
     Accepts ``"mapreduce"`` or ``"storage_io:num_functions=20,memory_mb=512"``.
-    The name is validated against the registry (``KeyError``) and the
-    parameter names against the factory's signature (``ValueError``), so a
-    misspelt spec fails here rather than when a worker builds the benchmark.
+    The name is validated against the registry (``KeyError``), the parameter
+    names against the factory's signature and the values against the types
+    of its defaults (``ValueError``), so a misspelt spec fails here rather
+    than when a worker builds the benchmark.
     """
     text = text.strip()
     name, _, rest = text.partition(":")
@@ -162,7 +192,11 @@ def canonical_benchmark_spec(name: str, **params: object) -> str:
     merged = {**parsed, **params}
     if not merged:
         return base
-    rendered = ",".join(f"{key}={value}" for key, value in sorted(merged.items()))
+    # Booleans render as 0/1, the form the parser reads back as a bool value.
+    rendered = ",".join(
+        f"{key}={int(value) if isinstance(value, bool) else value}"
+        for key, value in sorted(merged.items())
+    )
     return f"{base}:{rendered}"
 
 

@@ -22,7 +22,7 @@ from typing import Dict
 from ..core.builder import DataItem, FunctionDataSpec
 from ..core.definition import WorkflowDefinition
 from ..core.wfdnet import ResourceAnnotation
-from ..faas.benchmark import WorkflowBenchmark
+from ..faas.benchmark import WorkflowBenchmark, require_at_least
 from ..sim.invocation import FunctionSpec, InvocationContext
 
 _TABLE = "trip_bookings"
@@ -142,6 +142,7 @@ def build_definition() -> WorkflowDefinition:
 
 def create_benchmark(memory_mb: int = 128, force_failure: bool = True) -> WorkflowBenchmark:
     """The Trip Booking (SAGA) benchmark with the paper's forced failure."""
+    require_at_least(1, memory_mb=memory_mb)
     definition = build_definition()
     functions = {
         "book_hotel": FunctionSpec("book_hotel", book_hotel, cold_init_s=0.12),

@@ -27,7 +27,7 @@ import numpy as np
 from ..core.builder import DataItem, FunctionDataSpec
 from ..core.definition import WorkflowDefinition
 from ..core.wfdnet import ResourceAnnotation
-from ..faas.benchmark import WorkflowBenchmark
+from ..faas.benchmark import WorkflowBenchmark, require_at_least
 from ..sim.invocation import FunctionSpec, InvocationContext
 from ..sim.rng import named_stream
 
@@ -146,6 +146,7 @@ def create_benchmark(
     memory_mb: int = 2048,
 ) -> WorkflowBenchmark:
     """The Video Analysis benchmark with the paper's default parameters."""
+    require_at_least(1, frames=frames, batch_size=batch_size, memory_mb=memory_mb)
     definition = build_definition()
     num_batches = math.ceil(frames / batch_size)
     functions = {

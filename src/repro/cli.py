@@ -84,7 +84,6 @@ from .serve import (
 )
 from .sim.platforms.spec import (
     DEFAULT_ERA,
-    PlatformSpec,
     available_eras,
     available_platforms,
     available_scenarios,
@@ -127,8 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     workload_help = (
         "workload spec, e.g. burst:burst_size=30, warm:settle_s=5, "
         "poisson:rate=50,duration=120, constant:rate=10,duration=60, "
-        "ramp:start_rate=1,end_rate=20,duration=300, trace:path=arrivals.json "
-        "(overrides --mode/--burst-size)"
+        "ramp:start_rate=1,end_rate=20,duration=300, trace:path=arrivals.json"
     )
     platform_help = (
         "platform spec: a registered platform or scenario name, optionally with "
@@ -154,11 +152,11 @@ def build_parser() -> argparse.ArgumentParser:
     run = subparsers.add_parser("run", help="run one benchmark on one platform")
     run.add_argument("benchmark")
     run.add_argument("--platform", default="aws", help=platform_help)
-    run.add_argument("--burst-size", type=int, default=30)
+    run.add_argument("--burst-size", type=int, default=30,
+                     help="burst workload shorthand: burst:burst_size=N")
     run.add_argument("--repetitions", type=int, default=1)
-    run.add_argument("--mode", choices=("burst", "warm"), default="burst")
-    run.add_argument("--workload", default=None, help=workload_help)
-    run.add_argument("--era", default=None, help=era_help)
+    run.add_argument("--workload", default=None,
+                     help=f"{workload_help} (overrides --burst-size)")
     run.add_argument("--scenarios", default=None, help=scenarios_help)
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--memory-mb", type=int, default=None)
@@ -166,11 +164,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     compare = subparsers.add_parser("compare", help="run one benchmark on all cloud platforms")
     compare.add_argument("benchmark")
-    compare.add_argument("--burst-size", type=int, default=30)
+    compare.add_argument("--burst-size", type=int, default=30,
+                         help="burst workload shorthand: burst:burst_size=N")
     compare.add_argument("--repetitions", type=int, default=1)
-    compare.add_argument("--mode", choices=("burst", "warm"), default="burst")
-    compare.add_argument("--workload", default=None, help=workload_help)
-    compare.add_argument("--era", default=None, help=era_help)
+    compare.add_argument("--workload", default=None,
+                         help=f"{workload_help} (overrides --burst-size)")
     compare.add_argument("--scenarios", default=None, help=scenarios_help)
     compare.add_argument("--seed", type=int, default=0)
     compare.add_argument(
@@ -210,7 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="trigger mode (default: burst)")
     campaign.add_argument(
         "--workload", nargs="+", default=None, dest="workloads",
-        help=f"workload sweep dimension; each entry is a {workload_help}",
+        help=f"workload sweep dimension; each entry is a {workload_help} "
+             f"(overrides --mode/--burst-size)",
     )
     campaign.add_argument(
         "--workers", type=int, default=None,
@@ -491,18 +490,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.scenarios:
         load_scenarios(args.scenarios)
     benchmark = get_benchmark(args.benchmark)
-    # --mode/--burst-size stay supported flags, but compile to a WorkloadSpec
-    # here (and --era to an era-pinned platform spec) so the CLI never feeds
-    # the deprecated kwargs through the library API.
-    workload = args.workload or WorkloadSpec.from_mode(args.mode, args.burst_size)
-    platform = PlatformSpec.coerce(args.platform).with_default_era(args.era)
     result = run_benchmark(
         benchmark,
-        platform,
+        args.platform,
         repetitions=args.repetitions,
         seed=args.seed,
         memory_mb=args.memory_mb,
-        workload=workload,
+        workload=args.workload or WorkloadSpec.burst(args.burst_size),
     )
     summary_row = result.summary.as_row() if result.summary else {}
     print(report.format_table([summary_row], f"{args.benchmark} on {args.platform}"))
@@ -523,14 +517,12 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     if args.scenarios:
         load_scenarios(args.scenarios)
     benchmark = get_benchmark(args.benchmark)
-    workload = args.workload or WorkloadSpec.from_mode(args.mode, args.burst_size)
     results = compare_platforms(
         benchmark,
         platforms=args.platforms,
         repetitions=args.repetitions,
-        era=args.era,
         seed=args.seed,
-        workload=workload,
+        workload=args.workload or WorkloadSpec.burst(args.burst_size),
     )
     rows = []
     open_loop_rows = []
@@ -551,6 +543,16 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     print(f"fastest: {fastest} ({medians[fastest]:.2f} s), "
           f"slowest: {slowest} ({medians[slowest]:.2f} s)")
     return 0
+
+
+def _build_benchmarks(jobs) -> None:
+    """Build each distinct benchmark spec of a plan once, so a parameter value
+    its factory rejects exits 2 here instead of failing in every worker."""
+    for spec in dict.fromkeys(job.benchmark for job in jobs):
+        try:
+            get_benchmark(spec)
+        except ValueError as exc:
+            raise ValueError(f"benchmark {spec!r}: {exc}") from exc
 
 
 def _print_campaign_tables(campaign, output: Optional[str]) -> None:
@@ -668,6 +670,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         )
 
     jobs = spec.expand()
+    _build_benchmarks(jobs)
     # Era-pinned platform specs sweep once instead of crossing the eras
     # dimension, so count the actual platform-era variants.
     platform_eras = sum(
@@ -957,6 +960,7 @@ def _cmd_figures(args: argparse.Namespace, render_all: bool = False) -> int:
     names = _artifact_selection(args, render_all)
     config = _artifact_config(args)
     plan = artifact_pipeline.plan_artifacts(names, config)
+    _build_benchmarks(plan.jobs)
     print(plan.describe())
     cache_dir = None if args.no_cache else args.cache_dir
     shard = parse_shard(args.shard) if args.shard else None

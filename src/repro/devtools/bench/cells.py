@@ -7,7 +7,7 @@ exercise:
   dispatch shapes that dominate real campaigns: an open-loop arrival storm,
   a long yield/timeout process chain, and FIFO resource contention.
 * ``campaign.*`` -- whole cells per second through the real worker entry
-  (:func:`repro.faas.campaign.execute_job_inline`), and the batched
+  (``repro.faas.campaign._execute_job``), and the batched
   ``run_cells`` dispatch path with a live worker pool
   (``campaign.chunked_dispatch``).
 * ``metrics.*`` -- the vectorized open-loop reduction over synthetic
@@ -251,19 +251,11 @@ def _measure_resource_contention(profile: BenchProfile,
 # -- campaign cells ---------------------------------------------------------
 
 def _execute_cell(job: object) -> object:
-    """Run one campaign cell in-process, portably across repo generations.
+    """Run one campaign cell in-process through the pool's single-cell entry."""
+    from ...faas.campaign import _execute_job
 
-    Prefers the public :func:`~repro.faas.campaign.execute_job_inline`;
-    older checkouts (the baseline the harness is pointed at when measuring
-    pre-optimisation numbers) only have the worker entry, which takes and
-    returns plain dictionaries.
-    """
-    from ...faas import campaign
+    return _execute_job(job.to_dict())  # type: ignore[attr-defined]
 
-    runner = getattr(campaign, "execute_job_inline", None)
-    if runner is not None:
-        return runner(job)
-    return campaign._execute_job(job.to_dict())  # type: ignore[attr-defined]
 
 def campaign_jobs(profile: BenchProfile) -> List[object]:
     """The real benchmark x platform x workload cells the campaign bench runs.

@@ -24,6 +24,20 @@ PrepareFn = Callable[[Platform], None]
 InputFn = Callable[[int], Dict[str, object]]
 
 
+def require_at_least(minimum: float, **values: float) -> None:
+    """Raise ``ValueError`` naming every benchmark parameter below ``minimum``.
+
+    Factories call this on their counts (``minimum=1``) and sizes/durations
+    (``minimum=0``), so an out-of-range spec fails when the benchmark is
+    built -- at planning time -- instead of inside a worker.
+    """
+    # Written so that NaN fails too; infinity is never a usable size.
+    low = [f"{name}={value!r}" for name, value in values.items()
+           if not minimum <= value < float("inf")]
+    if low:
+        raise ValueError(f"{', '.join(low)} out of range: must be finite and >= {minimum}")
+
+
 @dataclass
 class WorkflowBenchmark:
     """One benchmark of the suite: definition, functions, data, and parameters."""

@@ -139,23 +139,15 @@ class CampaignJob:
 
     @classmethod
     def from_dict(cls, document: Dict[str, object]) -> "CampaignJob":
+        platform_doc = document.get("platform")
+        if "workload" not in document or not isinstance(platform_doc, dict):
+            raise ValueError(
+                "job document has no 'workload' or no 'platform' spec document; "
+                "it predates cache version 3 and cannot be loaded"
+            )
         memory_mb = document.get("memory_mb")
-        workload_doc = document.get("workload")
-        if workload_doc is not None:
-            workload = WorkloadSpec.from_dict(workload_doc)  # type: ignore[arg-type]
-        else:
-            # Legacy (v1) job documents carried a mode/burst_size pair.
-            workload = WorkloadSpec.from_mode(
-                str(document.get("mode", "burst")), int(document.get("burst_size", 30))
-            )
-        platform_doc = document["platform"]
-        if isinstance(platform_doc, str):
-            # Legacy (v1/v2) job documents carried a (platform, era) string pair.
-            platform = PlatformSpec(
-                base=platform_doc, era=str(document.get("era", DEFAULT_ERA))
-            )
-        else:
-            platform = PlatformSpec.from_dict(platform_doc)  # type: ignore[arg-type]
+        workload = WorkloadSpec.from_dict(document["workload"])  # type: ignore[arg-type]
+        platform = PlatformSpec.from_dict(platform_doc)
         return cls(
             benchmark=str(document["benchmark"]),
             platform=platform,
@@ -403,19 +395,6 @@ def _execute_job(payload: Dict[str, object]) -> Dict[str, object]:
     return result_to_dict(result)
 
 
-def _execute_job_timed(payload: Dict[str, object]) -> Dict[str, object]:
-    """Worker entry point with cost accounting: result document + wall time.
-
-    The grid logs each cell's observed wall cost (``elapsed_s``) next to its
-    result so :func:`repro.faas.grid.autoscale_hint` can size worker fleets
-    from real medians.  Monotonic-timer durations are measurement, not
-    simulation state -- they never reach fingerprints or result documents.
-    """
-    start = perf_counter()
-    document = _execute_job(payload)
-    return {"document": document, "elapsed_s": perf_counter() - start}
-
-
 #: Wall-clock budget one chunk task aims for.  Small enough that progress
 #: reporting and grid lease heartbeats stay responsive, large enough that
 #: sub-millisecond cells amortise the per-task pickle/dispatch overhead.
@@ -427,30 +406,27 @@ MAX_CHUNK_CELLS = 32
 def _execute_chunk(payloads: Sequence[Dict[str, object]]) -> List[Dict[str, object]]:
     """Worker entry point for a batch of cells: one envelope per payload.
 
-    Faults stay per-cell: a raising cell contributes an ``{"error": ...}``
-    envelope while its chunk-mates still return ``{"document", "elapsed_s"}``
-    envelopes, so batching never couples one cell's fate to another's.  The
-    parent maps error envelopes back onto the retry/fail path exactly as if
-    the cell had been submitted alone.
+    A successful cell yields ``{"document", "elapsed_s"}``: its result plus
+    its observed wall cost, which the grid logs so
+    :func:`repro.faas.grid.autoscale_hint` can size worker fleets from real
+    medians (monotonic-timer durations are measurement, never simulation
+    state).  Faults stay per-cell: a raising cell yields ``{"error": ...}``
+    while its chunk-mates still run, so batching never couples one cell's
+    fate to another's.  Every caller -- pooled chunks, retries, the serial
+    path, the isolated single-cell pool -- goes through this one envelope.
     """
     envelopes: List[Dict[str, object]] = []
     for payload in payloads:
+        start = perf_counter()
         try:
-            envelopes.append(_execute_job_timed(payload))
+            # Looked up as a module global on every call, so instrumentation
+            # and tests can patch the single-cell runner.
+            document = _execute_job(payload)
         except Exception as exc:  # noqa: BLE001 - isolate per-cell faults
             envelopes.append({"error": f"{type(exc).__name__}: {exc}"})
+        else:
+            envelopes.append({"document": document, "elapsed_s": perf_counter() - start})
     return envelopes
-
-
-def execute_job_inline(job: "CampaignJob") -> Dict[str, object]:
-    """Run one cell in the calling process and return its result document.
-
-    The public twin of the pool worker entry: same serialise -> run ->
-    serialise round trip a worker performs, without a pool, cache, or grid
-    around it.  Used by the bench harness (``repro-flow bench``) to time
-    campaign cells, and handy for profiling a single cell under a debugger.
-    """
-    return _execute_job(job.to_dict())
 
 
 @dataclass
@@ -952,6 +928,19 @@ def run_cells(
     def settle(job: CampaignJob) -> None:
         remaining.pop(job.fingerprint(), None)
 
+    def run_alone(job: CampaignJob, isolated: bool) -> Dict[str, object]:
+        if not isolated:
+            return _execute_chunk([job.to_dict()])[0]
+        # One fresh single-cell pool per attempt: a cell that hard-kills its
+        # host process (OOM, segfault) burns its retries and becomes a
+        # CellFailure instead of taking this process -- and all undrained
+        # results -- with it.
+        try:
+            with ProcessPoolExecutor(max_workers=1) as solo:
+                return solo.submit(_execute_chunk, [job.to_dict()]).result()[0]
+        except Exception as exc:  # noqa: BLE001 - isolate per-cell faults
+            return {"error": f"{type(exc).__name__}: {exc}"}
+
     def attempt(job: CampaignJob, pre_admitted: bool = False,
                 isolated: bool = False) -> None:
         if not pre_admitted:
@@ -962,30 +951,16 @@ def run_cells(
                 return
             admitted.add(job.fingerprint())
             cells_started.inc()
-        last: Optional[BaseException] = None
         for _ in range(max_retries + 1):
             if tick is not None:
                 tick()
-            try:
-                if isolated:
-                    # One fresh single-cell pool per attempt: a cell that
-                    # hard-kills its host process (OOM, segfault) burns its
-                    # retries and becomes a CellFailure instead of taking
-                    # this process -- and all undrained results -- with it.
-                    with ProcessPoolExecutor(max_workers=1) as solo:
-                        envelope = solo.submit(
-                            _execute_job_timed, job.to_dict()
-                        ).result()
-                else:
-                    envelope = _execute_job_timed(job.to_dict())
-            except Exception as exc:  # noqa: BLE001 - isolate per-cell faults
-                last = exc
-                continue
-            settle(job)
-            finish(job, envelope["document"], envelope["elapsed_s"])
-            return
+            envelope = run_alone(job, isolated)
+            if "error" not in envelope:
+                settle(job)
+                finish(job, envelope["document"], envelope["elapsed_s"])
+                return
         settle(job)
-        fail(CellFailure(job=job, error=f"{type(last).__name__}: {last}",
+        fail(CellFailure(job=job, error=str(envelope["error"]),
                          attempts=max_retries + 1))
 
     if workers <= 1:

@@ -77,15 +77,16 @@ def result_to_dict(result: ExperimentResult) -> Dict[str, object]:
         "benchmark": result.benchmark,
         "platform": result.platform,
         "config": {
-            # "platform"/"era" stay as plain strings for legacy readers; the
-            # full spec (base, era, overrides) round-trips via "platform_spec".
+            # "platform"/"era" and "burst_size"/"mode" are flat labels for
+            # readers of the JSON; the full spec (base, era, overrides) and
+            # workload round-trip via "platform_spec" and "workload".
             "platform": result.config.platform_name,
-            "era": result.config.era,
+            "era": result.config.platform_spec.era,
             "platform_spec": result.config.platform_spec.to_dict(),
             "seed": result.config.seed,
-            "burst_size": result.config.burst_size,
+            "burst_size": result.config.workload_spec.burst_size,
             "repetitions": result.config.repetitions,
-            "mode": result.config.mode,
+            "mode": result.config.workload_spec.kind,
             "memory_mb": result.config.memory_mb,
             "workload": result.config.workload_spec.to_dict(),
         },
@@ -161,26 +162,15 @@ def result_from_dict(document: Dict[str, object]) -> ExperimentResult:
     cost report is restored from the unrounded ``cost`` entry when present.
     """
     config_doc = dict(document["config"])  # type: ignore[arg-type]
+    for key in ("workload", "platform_spec"):
+        if key not in config_doc:
+            raise ValueError(
+                f"result document has no config.{key!r}; it predates the "
+                f"workload and platform-spec APIs and cannot be loaded"
+            )
     memory_mb = config_doc.get("memory_mb")
-    workload_doc = config_doc.get("workload")
-    if workload_doc is not None:
-        workload = WorkloadSpec.from_dict(workload_doc)  # type: ignore[arg-type]
-    else:
-        # Legacy documents predate the workload subsystem: reconstruct the
-        # equivalent spec from the deprecated mode/burst_size pair.
-        workload = WorkloadSpec.from_mode(
-            str(config_doc.get("mode", "burst")), int(config_doc.get("burst_size", 30))
-        )
-    spec_doc = config_doc.get("platform_spec")
-    if spec_doc is not None:
-        platform = PlatformSpec.from_dict(spec_doc)  # type: ignore[arg-type]
-    else:
-        # Legacy documents identify the platform by a (name, era) string
-        # pair; fold the era into an era-pinned spec instead of the
-        # deprecated era= kwarg -- same normalisation, same results.
-        platform = PlatformSpec(
-            base=str(config_doc["platform"]), era=str(config_doc["era"])
-        )
+    workload = WorkloadSpec.from_dict(config_doc["workload"])  # type: ignore[arg-type]
+    platform = PlatformSpec.from_dict(config_doc["platform_spec"])  # type: ignore[arg-type]
     config = ExperimentConfig(
         platform=platform,
         seed=int(config_doc["seed"]),

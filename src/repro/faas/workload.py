@@ -286,11 +286,6 @@ class WorkloadSpec:
             return float(timestamps[-1]) if timestamps else 0.0  # type: ignore[index]
         return float(self.param("duration", 0.0))  # type: ignore[arg-type]
 
-    @property
-    def mode(self) -> str:
-        """Legacy ``mode`` string this spec maps onto (the kind itself)."""
-        return self.kind
-
     # ------------------------------------------------------------ serialisation
     def canonical(self) -> str:
         """Stable, human-readable identity string (used in fingerprints)."""

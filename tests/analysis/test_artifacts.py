@@ -129,16 +129,15 @@ class TestGoldenEquivalence:
 
     def _legacy_results(self):
         """The pre-pipeline ``_run`` path: direct run_benchmark at seed 0."""
-        results = {}
-        with pytest.warns(DeprecationWarning):
-            for name in ("mapreduce",):
-                results[name] = {}
-                for platform in ("gcp", "aws", "azure"):
-                    results[name][platform] = run_benchmark(
-                        get_benchmark(name), platform, burst_size=3,
-                        repetitions=1, mode="burst", seed=0, era="2024",
-                    )
-        return results
+        return {
+            "mapreduce": {
+                platform: run_benchmark(
+                    get_benchmark("mapreduce"), f"{platform}@2024",
+                    workload=WorkloadSpec.burst(3), repetitions=1, seed=0,
+                )
+                for platform in ("gcp", "aws", "azure")
+            }
+        }
 
     def test_figure7_bit_identical_to_legacy(self, pipeline_campaign):
         pipeline = artifacts.get_artifact("figure7").build(pipeline_campaign, SMALL)
@@ -162,8 +161,12 @@ class TestGoldenEquivalence:
         assert pipeline == legacy
 
     def test_legacy_shim_goes_through_the_pipeline(self, pipeline_campaign):
-        shim = figures.figure7_runtime(benchmarks=["mapreduce"], burst_size=3, seed=0)
-        assert shim == artifacts.get_artifact("figure7").build(pipeline_campaign, SMALL)
+        """A single-artifact plan renders the same figure as the shared plan."""
+        campaign = artifacts.execute_plan(
+            artifacts.plan_artifacts(["figure7"], SMALL), workers=1
+        )
+        figure7 = artifacts.get_artifact("figure7")
+        assert figure7.build(campaign, SMALL) == figure7.build(pipeline_campaign, SMALL)
 
 
 class TestPartialRendering:

@@ -2,18 +2,24 @@
 
 import pytest
 
-from repro.analysis import figures
+from repro.analysis import artifacts
+
+SMALL = artifacts.ArtifactConfig(burst_size=3, seed=2, benchmarks=("mapreduce",))
 
 
 @pytest.fixture(scope="module")
 def small_campaign():
-    return figures.application_comparison(["mapreduce"], burst_size=3, seed=2)
+    return artifacts.execute_plan(artifacts.plan_artifacts(["figure7"], SMALL), workers=1)
+
+
+def build(name, campaign):
+    return artifacts.get_artifact(name).build(campaign, SMALL)
 
 
 class TestCampaignReuse:
     def test_figure7_and_8_share_campaign(self, small_campaign):
-        f7 = figures.figure7_runtime(results=small_campaign)
-        f8 = figures.figure8_breakdown(results=small_campaign)
+        f7 = build("figure7", small_campaign)
+        f8 = build("figure8", small_campaign)
         assert set(f7["mapreduce"]) == {"aws", "gcp", "azure"}
         for platform in f7["mapreduce"]:
             assert f7["mapreduce"][platform]["median_runtime_s"] == pytest.approx(
@@ -25,13 +31,13 @@ class TestCampaignReuse:
             )
 
     def test_figure11_profiles_from_campaign(self, small_campaign):
-        profiles = figures.figure11_scaling_profiles(results=small_campaign)
+        profiles = build("figure11", small_campaign)
         assert set(profiles["mapreduce"]) == {"aws", "gcp", "azure"}
         for series in profiles["mapreduce"].values():
             assert all(point["containers"] >= 0 for point in series)
 
     def test_figure15_pricing_from_campaign(self, small_campaign):
-        pricing = figures.figure15_pricing(results=small_campaign)
+        pricing = build("figure15", small_campaign)
         for platform, values in pricing["mapreduce"].items():
             assert values["total_usd"] > 0
             assert values["total_usd"] == pytest.approx(
@@ -41,30 +47,31 @@ class TestCampaignReuse:
 
 
 class TestStandaloneFigures:
-    def test_figure9a_series_structure(self):
-        series = figures.figure9a_storage_overhead(
-            download_sizes=(1024,), num_functions=2, burst_size=2, seed=1,
-            platforms=("aws",),
+    def test_figure9a_series_structure(self, build_single_artifact):
+        series = build_single_artifact(
+            "figure9a", seed=1, download_sizes=(1024,), num_functions=2,
+            burst_size=2, platforms=("aws",),
         )
         assert list(series) == ["aws"]
         assert series["aws"][0]["download_bytes"] == 1024.0
         assert series["aws"][0]["median_overhead_s"] >= 0
 
-    def test_figure10_cells(self):
-        heatmaps = figures.figure10_parallel_sleep(
-            parallelism=(2,), durations_s=(1.0,), burst_size=2, seed=1, platforms=("aws",),
+    def test_figure10_cells(self, build_single_artifact):
+        heatmaps = build_single_artifact(
+            "figure10", seed=1, parallelism=(2,), durations_s=(1.0,), burst_size=2,
+            platforms=("aws",),
         )
         cell = heatmaps["aws"]["N=2,T=1"]
         assert cell["relative_overhead"] >= 1.0
         assert cell["median_runtime_s"] >= 1.0
 
-    def test_figure13_structure(self):
-        data = figures.figure13_os_noise(memory_configurations=(256,), events=200, seed=1,
-                                         platforms=("aws",))
+    def test_figure13_structure(self, build_single_artifact):
+        data = build_single_artifact("figure13", seed=1, memory_configurations=(256,),
+                                     events=200, platforms=("aws",))
         assert data["suspension"]["aws"][0]["memory_mb"] == 256.0
         assert "mapreduce" in data["normalized_critical_path"]
 
-    def test_figure16_era_keys(self):
-        data = figures.figure16_evolution(benchmarks=("mapreduce",), burst_size=2, seed=1,
-                                          platforms=("aws",))
+    def test_figure16_era_keys(self, build_single_artifact):
+        data = build_single_artifact("figure16", seed=1, benchmarks=("mapreduce",),
+                                     burst_size=2, platforms=("aws",))
         assert set(data["mapreduce"]["aws"]) == {"2022", "2024"}

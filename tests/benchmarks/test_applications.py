@@ -11,11 +11,11 @@ from repro.benchmarks.registry import (
     benchmark_names,
 )
 from repro.faas import Deployment
-from repro.sim import Platform, get_profile
+from repro.sim import Platform, resolve_platform
 
 
 def run_once(benchmark, platform_name="aws", seed=1, invocation="t0"):
-    platform = Platform(get_profile(platform_name), seed=seed)
+    platform = Platform(resolve_platform(platform_name), seed=seed)
     deployment = Deployment.deploy(benchmark, platform)
     result = deployment.invoke_once(invocation)
     return result, deployment
@@ -85,6 +85,69 @@ class TestRegistry:
         monkeypatch.setitem(registry.ALL_BENCHMARKS, "open_factory", open_factory)
         assert parse_benchmark_spec("open_factory:anything=1") == (
             "open_factory", {"anything": 1})
+
+    @pytest.mark.parametrize("spec, expected, value", [
+        ("trip_booking:force_failure=false", "bool (0 or 1)", "'false'"),
+        ("trip_booking:force_failure=2", "bool (0 or 1)", "2"),
+        ("storage_io:num_functions=abc", "int", "'abc'"),
+        ("storage_io:num_functions=2.5", "int", "2.5"),
+        ("parallel_sleep:sleep_seconds=soon", "float", "'soon'"),
+        ("genome_individuals:individuals_jobs=x", "int", "'x'"),
+    ])
+    def test_parameter_value_types_checked_at_parse_time(self, spec, expected, value):
+        from repro.benchmarks import parse_benchmark_spec
+
+        with pytest.raises(ValueError) as excinfo:
+            parse_benchmark_spec(spec)
+        message = str(excinfo.value)
+        key = spec.split(":")[1].split("=")[0]
+        assert f"'{key}'" in message
+        assert f"expects {expected}, got {value}" in message
+
+    def test_well_typed_values_keep_their_canonical_form(self):
+        from repro.benchmarks import canonical_benchmark_spec, parse_benchmark_spec
+
+        # Float parameters take ints; the spelling (and fingerprint) is kept.
+        assert parse_benchmark_spec("parallel_sleep:sleep_seconds=1") == (
+            "parallel_sleep", {"sleep_seconds": 1})
+        assert canonical_benchmark_spec("parallel_sleep", sleep_seconds=1.0) == \
+            "parallel_sleep:sleep_seconds=1.0"
+        # Bool parameters take 0/1, and bools render in that form.
+        assert canonical_benchmark_spec("trip_booking", force_failure=False) == \
+            "trip_booking:force_failure=0"
+        assert not get_benchmark("trip_booking:force_failure=0").make_input(0)[
+            "force_failure"]
+
+    @pytest.mark.parametrize("spec", [
+        "mapreduce:num_mappers=0",
+        "storage_io:num_functions=-3",
+        "storage_io:download_bytes=-1",
+        "selfish_detour:events=0",
+        "parallel_sleep:sleep_seconds=-1",
+        "parallel_sleep:sleep_seconds=nan",
+        "parallel_sleep:sleep_seconds=inf",
+        "function_chain:length=0",
+        "video_analysis:batch_size=0",
+        "genome_individuals:individuals_jobs=0",
+        "ml:memory_mb=0",
+    ])
+    def test_out_of_range_values_rejected_by_the_factory(self, spec):
+        key, _, value = spec.split(":")[1].partition("=")
+        with pytest.raises(ValueError, match=f"{key}={value} out of range"):
+            get_benchmark(spec)
+
+    def test_every_paper_cell_builds_and_keeps_its_spec(self):
+        from repro.analysis import artifacts
+        from repro.benchmarks import canonical_benchmark_spec
+
+        plan = artifacts.plan_artifacts(
+            artifacts.available_artifacts(), artifacts.ArtifactConfig()
+        )
+        specs = {job.benchmark for job in plan.jobs}
+        assert len(specs) == 38
+        for spec in specs:
+            assert canonical_benchmark_spec(spec) == spec
+            get_benchmark(spec)
 
     def test_unknown_benchmark_rejected(self):
         with pytest.raises(KeyError):

@@ -33,6 +33,21 @@ def isolated_platform_registry():
 
 
 @pytest.fixture
+def build_single_artifact():
+    """``build(name, seed=0, **overrides)``: plan one artifact with per-artifact
+    overrides, execute it serially, and return its built data."""
+    from repro.analysis import artifacts
+
+    def build(name: str, seed: int = 0, **overrides: object) -> object:
+        config = artifacts.ArtifactConfig(seed=seed).with_overrides(name, **overrides)
+        plan = artifacts.plan_artifacts([name], config)
+        campaign = artifacts.execute_plan(plan, workers=1)
+        return artifacts.get_artifact(name).build(campaign, config)
+
+    return build
+
+
+@pytest.fixture
 def simple_definition() -> WorkflowDefinition:
     """A small generate -> map -> aggregate workflow used across test modules."""
     return WorkflowDefinition.from_dict(

@@ -17,6 +17,7 @@ from repro.faas import (
     result_to_dict,
     run_benchmark,
     run_campaign,
+    WorkloadSpec,
 )
 from repro.benchmarks import get_benchmark
 from repro.sim import PlatformSpec, load_scenarios
@@ -130,7 +131,8 @@ class TestCampaignExecution:
         campaign = run_campaign(spec, workers=1)
         job = spec.expand()[0]
         direct = run_benchmark(
-            get_benchmark("mapreduce"), "aws", burst_size=2, seed=job.seed
+            get_benchmark("mapreduce"), "aws", workload=WorkloadSpec.burst(2),
+            seed=job.seed,
         )
         assert campaign.cell("mapreduce", "aws").median_runtime == \
             pytest.approx(direct.median_runtime)
@@ -387,7 +389,7 @@ class TestChunkedDispatch:
             self, benchmarks, platforms, seed_count, burst):
         """Batched pool dispatch is pure plumbing: every cell's document must
         be byte-identical to inline (unchunked, single-process) execution."""
-        from repro.faas.campaign import execute_job_inline, run_cells
+        from repro.faas.campaign import run_cells
 
         spec = CampaignSpec(
             benchmarks=tuple(sorted(benchmarks)),
@@ -395,7 +397,7 @@ class TestChunkedDispatch:
             seeds=tuple(range(seed_count)), burst_size=burst,
         )
         jobs = spec.expand()
-        inline = {job.fingerprint(): execute_job_inline(job) for job in jobs}
+        inline = {job.fingerprint(): _real_execute_job(job.to_dict()) for job in jobs}
         chunked, failures = {}, []
         run_cells(jobs, 2,
                   lambda job, document, elapsed: chunked.setdefault(
@@ -713,7 +715,8 @@ class TestPlatformSpecSweep:
 class TestResultRoundTrip:
     def test_result_survives_serialisation(self):
         result = ExperimentRunner(
-            ExperimentConfig(platform="azure", burst_size=3, repetitions=2, seed=4)
+            ExperimentConfig(platform="azure", workload=WorkloadSpec.burst(3),
+                             repetitions=2, seed=4)
         ).run(get_benchmark("mapreduce"))
         document = json.loads(json.dumps(result_to_dict(result)))
         restored = result_from_dict(document)

@@ -19,6 +19,7 @@ from repro.faas import (
     run_benchmark,
     run_campaign,
     run_grid_worker,
+    WorkloadSpec,
 )
 from repro.observability import (
     MetricsRegistry,
@@ -111,7 +112,8 @@ class TestPinnedGolden:
     def test_pr3_golden_number_survives_every_telemetry_mode(self, mode, tmp_path):
         with _telemetry(mode, tmp_path) as registry:
             result = run_benchmark(
-                get_benchmark("mapreduce"), "aws@2022", burst_size=3, seed=0
+                get_benchmark("mapreduce"), "aws@2022",
+                workload=WorkloadSpec.burst(3), seed=0,
             )
             assert result.median_runtime == 11.722144092900013
             if registry is not None:

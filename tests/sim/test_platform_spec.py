@@ -14,7 +14,6 @@ from repro.sim import (
     available_platforms,
     available_scenarios,
     aws_profile,
-    get_profile,
     load_scenarios,
     register_era,
     register_platform,
@@ -357,22 +356,3 @@ class TestScenarioFiles:
         }))
         with pytest.raises(KeyError, match="cold_strat"):
             load_scenarios(path)
-
-
-class TestDeprecatedShim:
-    def test_get_profile_warns_and_matches_spec(self):
-        with pytest.warns(DeprecationWarning, match="get_profile"):
-            profile = get_profile("aws", era="2022")
-        assert same_profile(profile, PlatformSpec.parse("aws@2022").resolve())
-
-    def test_get_profile_default_era_warns(self):
-        with pytest.warns(DeprecationWarning):
-            assert same_profile(get_profile("gcp"), PlatformSpec.parse("gcp").resolve())
-
-    def test_get_profile_unknown_inputs_still_raise_keyerror(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(KeyError):
-                get_profile("ibm")
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(KeyError):
-                get_profile("aws", era="2030")

@@ -16,15 +16,20 @@ class TestParser:
         args = build_parser().parse_args(["run", "mapreduce"])
         assert args.platform == "aws"
         assert args.burst_size == 30
-        assert args.mode == "burst"
+        assert args.workload is None
 
     def test_compare_accepts_era_repetitions_and_mode(self):
         args = build_parser().parse_args([
-            "compare", "ml", "--era", "2022", "--repetitions", "2", "--mode", "warm",
+            "compare", "ml", "--platforms", "aws@2022", "--repetitions", "2",
+            "--workload", "warm:burst_size=2",
         ])
-        assert args.era == "2022"
+        assert args.platforms == ["aws@2022"]
         assert args.repetitions == 2
-        assert args.mode == "warm"
+        assert args.workload == "warm:burst_size=2"
+        # The era lives in the platform spec, the trigger mode in the workload.
+        for flag in ("--era", "--mode"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["compare", "ml", flag, "2022"])
 
     def test_campaign_defaults(self):
         # Spec-shaping flags parse to None so --resume can detect explicit
@@ -112,8 +117,8 @@ class TestCommands:
 
     def test_compare_warm_mode_with_repetitions(self, capsys):
         code = main([
-            "compare", "ml", "--burst-size", "2", "--platforms", "aws",
-            "--repetitions", "2", "--mode", "warm",
+            "compare", "ml", "--platforms", "aws",
+            "--repetitions", "2", "--workload", "warm:burst_size=2",
         ])
         assert code == 0
         out = capsys.readouterr().out
@@ -162,6 +167,26 @@ class TestCommands:
         assert captured.err.startswith("error: unknown parameter(s) 'downloadbytes'")
         assert "download_bytes" in captured.err and "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "trip_booking:force_failure=false", "--burst-size", "2"],
+         "expects bool (0 or 1), got 'false'"),
+        (["run", "mapreduce:num_mappers=0", "--burst-size", "2"],
+         "num_mappers=0 out of range"),
+        (["campaign", "--benchmarks", "storage_io:num_functions=abc", "--platforms", "aws",
+          "--seeds", "1", "--burst-size", "2", "--workers", "2"],
+         "expects int, got 'abc'"),
+        (["campaign", "--benchmarks", "mapreduce", "parallel_sleep:sleep_seconds=-1",
+          "--platforms", "aws", "--seeds", "1", "--burst-size", "2", "--workers", "2"],
+         "benchmark 'parallel_sleep:sleep_seconds=-1': sleep_seconds=-1 out of range"),
+    ])
+    def test_bad_benchmark_parameter_values_fail_in_one_line(self, argv, message, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        # One error line, printed before any cell is announced or executed.
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+        assert message in captured.err and "Traceback" not in captured.err
+
     def test_campaign_without_benchmarks_or_resume_fails(self, capsys):
         assert main(["campaign"]) == 2
         assert "--benchmarks is required" in capsys.readouterr().err
@@ -172,16 +197,17 @@ class TestCommands:
         import repro.cli as cli
 
         target = tmp_path / "partial.json"
-        original = cli.parse_benchmark_spec
+        original = cli.parse_benchmark_spec, cli._build_benchmarks
         try:
             cli.parse_benchmark_spec = lambda name: (name, {})
+            cli._build_benchmarks = lambda jobs: None
             code = main([
                 "campaign", "--benchmarks", "mapreduce", "does_not_exist",
                 "--platforms", "aws", "--seeds", "1", "--burst-size", "2",
                 "--workers", "1", "--max-retries", "0", "--output", str(target),
             ])
         finally:
-            cli.parse_benchmark_spec = original
+            cli.parse_benchmark_spec, cli._build_benchmarks = original
         assert code == 3
         document = json.loads(target.read_text())
         assert len(document["cells"]) == 1
@@ -192,9 +218,10 @@ class TestCommands:
         # fault isolation: a cell that keeps failing names its job and exits 3.
         import repro.cli as cli
 
-        original = cli.parse_benchmark_spec
+        original = cli.parse_benchmark_spec, cli._build_benchmarks
         try:
             cli.parse_benchmark_spec = lambda name: (name, {})
+            cli._build_benchmarks = lambda jobs: None
             code = main([
                 "campaign", "--benchmarks", "mapreduce", "does_not_exist",
                 "--platforms", "aws", "--seeds", "1", "--burst-size", "2",
@@ -202,7 +229,7 @@ class TestCommands:
                 "--cache-dir", str(tmp_path / "cache"),
             ])
         finally:
-            cli.parse_benchmark_spec = original
+            cli.parse_benchmark_spec, cli._build_benchmarks = original
         assert code == 3
         captured = capsys.readouterr()
         assert "1 campaign cell(s) failed" in captured.err
@@ -334,7 +361,7 @@ class TestPlatformSpecCli:
     def test_unknown_platform_or_era_reports_error(self, capsys):
         assert main(["run", "ml", "--platform", "nope"]) == 2
         assert "error:" in capsys.readouterr().err
-        assert main(["run", "ml", "--era", "1999"]) == 2
+        assert main(["run", "ml", "--platform", "aws@1999"]) == 2
         assert "error:" in capsys.readouterr().err
         assert main(["campaign", "--benchmarks", "ml", "--eras", "1999"]) == 2
         assert "unknown era" in capsys.readouterr().err
@@ -625,24 +652,30 @@ class TestFiguresCli:
         assert main(["figures"]) == 2
         assert "--artifacts" in capsys.readouterr().err
 
-    def test_figures_exit_3_when_cells_fail_permanently(self, tmp_path, capsys):
+    def test_figures_exit_3_when_cells_fail_permanently(self, tmp_path, capsys,
+                                                        monkeypatch):
         from repro.analysis import artifacts
+        from repro.faas import campaign as campaign_module
 
+        def failing_cell(payload):
+            raise RuntimeError("simulated worker fault")
+
+        # A valid cell that planning accepts but whose execution fails every
+        # attempt (--workers 1 runs it in this process).
+        monkeypatch.setattr(campaign_module, "_execute_job", failing_cell)
         artifacts._ensure_builders()
         snapshot = dict(artifacts._ARTIFACTS)
         try:
             artifacts.register_artifact(artifacts.ArtifactSpec(
                 name="doomed", title="doomed", kind="figure",
-                # Valid name and parameter, value the factory rejects:
-                # planning accepts it, execution fails every attempt.
                 cells=lambda config: (artifacts.CellRequest(
-                    benchmark="excamera:total_frames=7", platform="aws",
+                    benchmark="excamera", platform="aws",
                     workload=artifacts.WorkloadSpec.burst(2), seed=0,
                 ),),
                 build=lambda campaign, config: [],
             ))
             code = main([
-                "figures", "--artifacts", "doomed", "--no-cache",
+                "figures", "--artifacts", "doomed", "--no-cache", "--workers", "1",
                 "--run-dir", str(tmp_path / "run"), "--max-retries", "0",
             ])
         finally:
@@ -678,6 +711,53 @@ class TestFiguresCli:
         err = capsys.readouterr().err
         assert err.startswith("error: unknown parameter(s) 'bogus_param'")
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("spec, message", [
+        ("selfish_detour:events=0", "benchmark 'selfish_detour:events=0': events=0 out of range"),
+        ("trip_booking:force_failure=false", "expects bool (0 or 1), got 'false'"),
+    ])
+    def test_figures_rejects_bad_benchmark_parameter_values_when_planning(
+            self, tmp_path, capsys, spec, message):
+        from repro.analysis import artifacts
+
+        artifacts._ensure_builders()
+        snapshot = dict(artifacts._ARTIFACTS)
+        try:
+            artifacts.register_artifact(artifacts.ArtifactSpec(
+                name="bad_value", title="bad_value", kind="figure",
+                cells=lambda config: (artifacts.CellRequest(
+                    benchmark=spec, platform="aws",
+                    workload=artifacts.WorkloadSpec.burst(2), seed=0,
+                ),),
+                build=lambda campaign, config: [],
+            ))
+            code = main([
+                "figures", "--artifacts", "bad_value", "--no-cache",
+                "--run-dir", str(tmp_path / "run"),
+            ])
+        finally:
+            artifacts._ARTIFACTS.clear()
+            artifacts._ARTIFACTS.update(snapshot)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert message in err
+        assert not (tmp_path / "run").exists()
+
+    def test_from_campaign_rejects_documents_predating_the_spec_apis(self, tmp_path, capsys):
+        saved = tmp_path / "campaign.json"
+        assert main(self.QUICK_9A + ["--no-cache", "--save-campaign", str(saved)]) == 0
+        capsys.readouterr()
+        document = json.loads(saved.read_text())
+        stale = json.loads(json.dumps(document))
+        del stale["cells"][0]["result"]["config"]["workload"]
+        pre_v3 = json.loads(json.dumps(document))
+        pre_v3["cells"][0]["job"]["platform"] = "aws"
+        for broken, key in ((stale, "workload"), (pre_v3, "platform")):
+            saved.write_text(json.dumps(broken))
+            assert main(self.QUICK_9A + ["--from-campaign", str(saved)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and key in err
 
     def test_report_renders_every_artifact(self, tmp_path, capsys):
         code = main([
